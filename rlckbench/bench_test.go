@@ -147,3 +147,21 @@ func TestSelfTime(t *testing.T) {
 		}
 	}
 }
+
+// TestRunningOutOfReferencesFails caps serve-exact's referenced ops far
+// below what its window needs and checks that the run counts the
+// exhaustion as a failure.
+func TestRunningOutOfReferencesFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives rlckitd")
+	}
+	bin := buildDaemon(t)
+	o := options{workload: "serve-exact", seed: 1, seconds: 1, rlckitd: bin, scale: 0.05, corruptRef: -1, maxRefs: 6}
+	res, err := runServeExact(o, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Correct || res.Failed == 0 {
+		t.Fatalf("running out of referenced ops went unnoticed: correct=%t failed=%d", res.Correct, res.Failed)
+	}
+}

@@ -192,17 +192,18 @@ func sessionEdits(ti treeIn, rng *rand.Rand, both bool) []session.Edit {
 	return edits[rng.Intn(2):][:1]
 }
 
-// sessionOp is a what-if session: open the tree with the given result
-// engine, apply edits single-edit batches, delete. One edit per batch
-// keeps the reduced engine's results reproducible: with several edited
-// elements in one batch, rlctree.Incremental applies their pencil
-// deltas in map order, so the last digits vary from run to run (the
-// traced run counts this in session.replay_mismatches).
-func sessionOp(ti treeIn, engine string, edits int, rng *rand.Rand) op {
+// sessionOp is a what-if session: open the tree with the open engine,
+// apply one single-edit batch per entry of engines (each batch asking
+// for that engine's result; "" keeps the session's), delete. One edit
+// per batch keeps the reduced engine's results reproducible: with
+// several edited elements in one batch, rlctree.Incremental applies
+// their pencil deltas in map order, so the last digits vary from run to
+// run (the traced run counts this in session.replay_mismatches).
+func sessionOp(ti treeIn, open string, engines []string, rng *rand.Rand) op {
 	o := op{kind: "session", tree: &ti}
-	o.steps = append(o.steps, post("/v1/session", serve.TreeRequest{Tree: ti.spec, Drive: ti.drive, Engine: engine}))
-	for e := 0; e < edits; e++ {
-		s := post("/v1/session/"+sessionIDSlot+"/edit", serve.SessionEditRequest{Edits: sessionEdits(ti, rng, false)})
+	o.steps = append(o.steps, post("/v1/session", serve.TreeRequest{Tree: ti.spec, Drive: ti.drive, Engine: open}))
+	for _, engine := range engines {
+		s := post("/v1/session/"+sessionIDSlot+"/edit", serve.SessionEditRequest{Edits: sessionEdits(ti, rng, false), Engine: engine})
 		o.steps = append(o.steps, s)
 	}
 	o.steps = append(o.steps, step{method: "DELETE", path: "/v1/session/" + sessionIDSlot})
@@ -218,7 +219,10 @@ func nodeBuffer() *serve.BufferSpec {
 // hotOps is serve-hot's fixed set of byte-distinct single requests:
 // Eq. 9 delays, screens and repeater plans of generated lines, closed
 // form trees, and one single-RC-branch tree whose closed delay has an
-// exact answer.
+// exact answer. perKind bodies of each of the four endpoints give every
+// endpoint one equal slot: no measured traffic exists to weight them
+// by, and the chaos soak's mix likewise holds one spec each of the
+// cacheable Eq. 9 delay, repeater plan and closed tree.
 func hotOps(seed int64, perKind int) ([]op, error) {
 	nets, err := netgen.RandomBatch(seed, tech.Default(), perKind)
 	if err != nil {
@@ -263,13 +267,28 @@ func rcBranchTree() treeIn {
 
 // exactMix is serve-exact's repeating operation pattern: operation i
 // has kind exactMix[i%len(exactMix)], so every seed runs the same mix.
-var exactMix = []string{"tree-mna", "delay-exact", "tree-reduced", "delay-reduced", "tree-mna", "session", "tree-reduced", "delay-reduced"}
+// No measured traffic exists to weight it by, so it takes the mix of
+// the repository's chaos soak (internal/chaos): of the soak's request
+// specs, exactly one each reaches tree mna, tree reduced, line exact
+// and line reduced, and every soak client runs one what-if session per
+// round. Each gets one slot, 20% of the ops.
+var exactMix = []string{"tree-mna", "delay-exact", "tree-reduced", "delay-reduced", "session"}
+
+// exactSessionOpen and exactSessionEngines shape serve-exact's
+// sessions after the chaos soak's session script: open with the closed
+// engine, then three edit batches asking for mna, reduced and the
+// session's own engine.
+const exactSessionOpen = "closed"
+
+var exactSessionEngines = []string{"mna", "reduced", ""}
 
 // exactBases are the generated nets serve-exact perturbs: lines and
 // 16–64-sink trees of every family. Their structure comes from a fixed
 // generator seed, so every run sends the same sequence of net shapes
 // and the cost of a run does not hinge on which shapes a seed drew; the
-// run's seed draws every element value.
+// run's seed draws every element value. The tree pools interleave the
+// families, so that consecutive ops cycle through every size and any
+// stretch of the window sees the same mix of cheap and heavy trees.
 type exactBases struct {
 	lines              []lineIn
 	mnaTrees, redTrees []treeIn
@@ -287,6 +306,7 @@ func newExactBases(n int) (*exactBases, error) {
 	for _, nt := range nets {
 		b.lines = append(b.lines, lineOf(nt))
 	}
+	var mna, red [][]treeIn
 	for i, fam := range []struct {
 		kind  netgen.TreeKind
 		sinks int
@@ -296,11 +316,24 @@ func newExactBases(n int) (*exactBases, error) {
 			return nil, err
 		}
 		if fam.sinks <= 16 {
-			b.mnaTrees = append(b.mnaTrees, trees...)
+			mna = append(mna, trees)
 		}
-		b.redTrees = append(b.redTrees, trees...)
+		red = append(red, trees)
 	}
+	b.mnaTrees, b.redTrees = interleave(mna), interleave(red)
 	return b, nil
+}
+
+// interleave returns the first tree of every family, then the second
+// of every family, and so on; the families are equally long.
+func interleave(families [][]treeIn) []treeIn {
+	var out []treeIn
+	for k := range families[0] {
+		for _, f := range families {
+			out = append(out, f[k])
+		}
+	}
+	return out
 }
 
 // exactOp generates serve-exact's operation i: a seeded perturbation of
@@ -334,9 +367,6 @@ func (b *exactBases) exactOp(seed int64, i int) (op, error) {
 		if err != nil {
 			return op{}, err
 		}
-		return sessionOp(t, "reduced", sessionEditsPerOp, rng), nil
+		return sessionOp(t, exactSessionOpen, exactSessionEngines, rng), nil
 	}
 }
-
-// sessionEditsPerOp is the fixed number of edit batches per session.
-const sessionEditsPerOp = 8

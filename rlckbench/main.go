@@ -53,6 +53,9 @@ type options struct {
 	// body before timing. The tests use it to prove a wrong body is
 	// caught and counted.
 	corruptRef int
+	// maxRefs, when > 0, caps how many ops serve-exact references. The
+	// tests use it to prove that running out of them is a failure.
+	maxRefs int
 }
 
 // metric is one named measurement of the result line.

@@ -19,12 +19,14 @@ import (
 // 3 corners × popDraws Monte Carlo draws (with repeater analysis) and
 // popTrees 16-sink clock trees × 3 corners, all closed form. Set-up
 // generates popPool populations; study i uses population i % popPool
-// with its own Monte Carlo seed.
+// with its own Monte Carlo seed. Studies are kept short so that a
+// window holds well over a thousand of them and the p95 tail has many
+// samples beyond it.
 const (
-	popNets   = 2000
+	popNets   = 500
 	popDraws  = 2
-	popTrees  = 40
-	popPool   = 4
+	popTrees  = 10
+	popPool   = 16
 	popChecks = 8 // samples per study re-derived through core.Delay
 )
 
@@ -133,8 +135,7 @@ func summaryBytes(p *population, workers int) ([]byte, error) {
 
 // popLoopResult is one timed window of studies.
 type popLoopResult struct {
-	lat     []float64 // per study, ms
-	items   []item    // per study, samples, for the throughput median
+	items   []item // per study, samples
 	samples int
 	studies int
 	elapsed time.Duration
@@ -148,7 +149,6 @@ func popLoop(pops []population, seed int64, first int, dur time.Duration, tr *tr
 		n := study(&pops[i%len(pops)], seed*7919+int64(i), runtime.NumCPU(), int64(i), tr, tl, logf)
 		t1 := time.Since(start).Seconds()
 		r.samples += n
-		r.lat = append(r.lat, 1e3*(t1-t0))
 		r.items = append(r.items, item{t0, t1, float64(n)})
 		r.studies++
 	}
@@ -200,7 +200,7 @@ func runPopulation(o options, logf func(string, ...any)) (*result, error) {
 		res.Metrics["setup_s"] = metric{median(setups), "s"}
 		res.Metrics["ops_per_s"] = metric{sps, "1/s"}
 		res.Metrics["peak_rss_mb"] = metric{rss, "MB"}
-		latencyMetrics(res.Metrics, lr.lat, 95, logf)
+		latencyMetrics(res.Metrics, lr.items, window.Seconds(), 95, logf)
 	} else {
 		untraced := popLoop(pops, o.seed, 0, window/2, nil, tl, logf)
 		tr := newTracer()

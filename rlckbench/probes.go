@@ -25,7 +25,7 @@ import (
 // The layer probes give every per-layer metric on every workload: each
 // one calls one layer's public functions on the workload's own inputs
 // (its lines, trees and request bodies), inside spans of the traced
-// run. probeNets bounds the nets the expensive engines are run on.
+// run. probeNets bounds the lines the line engines are run on.
 const (
 	probeNets   = 3
 	probeBodies = 16
@@ -121,10 +121,24 @@ func probeEq9(in probeInputs, tr *tracer, m map[string]metric) {
 	_ = sink
 }
 
-// probeTrees runs rlctree's three engines and mna.Simulate on the trees.
+// spanning returns the indices of the smallest, the median and the
+// largest of n inputs sorted by size (fewer when n < 3), so that the
+// expensive probes cover the sizes a workload sends.
+func spanning(n int) map[int]bool {
+	return map[int]bool{0: true, n / 2: true, n - 1: true}
+}
+
+// probeTrees runs rlctree's closed engine on up to 64 trees and its mna
+// and reduced engines and mna.Simulate on the smallest, the median and
+// the largest tree (the trees are sorted by sink count).
 func probeTrees(in probeInputs, tr *tracer, m map[string]metric) error {
 	var closed, exact, red, sim, steps, q, cert []float64
-	for i, ti := range in.trees[:min(64, len(in.trees))] {
+	heavy := spanning(len(in.trees))
+	stride := (len(in.trees) + 63) / 64
+	for i, ti := range in.trees {
+		if i%stride != 0 && !heavy[i] {
+			continue
+		}
 		t, d, err := ti.build()
 		if err != nil {
 			return err
@@ -135,7 +149,7 @@ func probeTrees(in probeInputs, tr *tracer, m map[string]metric) error {
 		if err != nil {
 			return err
 		}
-		if i >= probeNets {
+		if !heavy[i] {
 			continue
 		}
 		sp = tr.begin("rlctree.Analyze.mna", 0, int64(i))
@@ -451,7 +465,7 @@ func probeServe(bodies []step, d *daemon, tr *tracer, tl *tally, logf func(strin
 // probeTCPSession runs a what-if session over TCP on the first tree and
 // times its edit round trips.
 func probeTCPSession(ti treeIn, d *daemon, tr *tracer, tl *tally, logf func(string, ...any), m map[string]metric) error {
-	o := sessionOp(ti, "reduced", probeEdits, rand.New(rand.NewSource(2)))
+	o := sessionOp(ti, "reduced", make([]string, probeEdits), rand.New(rand.NewSource(2)))
 	ref, err := serve.New(serve.Config{})
 	if err != nil {
 		return err

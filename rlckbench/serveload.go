@@ -51,29 +51,25 @@ func reference(h http.Handler, o *op) bool {
 	return true
 }
 
-// referencePool generates ops with gen and computes their references on
-// workers goroutines, stopping at limit ops or, when budget > 0, at the
-// first index started after budget elapsed. The result is always a
-// prefix of the index sequence. Failed references are counted in tl.
-func referencePool(h http.Handler, gen func(i int) (op, error), limit int, budget time.Duration, workers int, tl *tally, logf func(string, ...any)) ([]op, error) {
+// referencePool generates ops from index from up to to and computes
+// their references on workers goroutines. Failed references are counted
+// in tl.
+func referencePool(h http.Handler, gen func(i int) (op, error), from, to, workers int, tl *tally, logf func(string, ...any)) ([]op, error) {
 	var (
 		next     atomic.Int64
 		mu       sync.Mutex
-		done     = make(map[int]op)
+		ops      = make([]op, to-from)
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	deadline := time.Now().Add(budget)
+	next.Store(int64(from))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				if budget > 0 && time.Now().After(deadline) {
-					return
-				}
 				i := int(next.Add(1) - 1)
-				if i >= limit {
+				if i >= to {
 					return
 				}
 				o, err := gen(i)
@@ -85,7 +81,7 @@ func referencePool(h http.Handler, gen func(i int) (op, error), limit int, budge
 				if err != nil && firstErr == nil {
 					firstErr = err
 				}
-				done[i] = o
+				ops[i-from] = o
 				mu.Unlock()
 			}
 		}()
@@ -94,17 +90,13 @@ func referencePool(h http.Handler, gen func(i int) (op, error), limit int, budge
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	ops := make([]op, len(done))
-	for i := range ops {
-		ops[i] = done[i]
-	}
 	return ops, nil
 }
 
 // loopResult is one closed-loop measurement window.
 type loopResult struct {
-	lat      []float64 // per request, ms
-	items    []item    // per request, for the throughput median
+	items    []item // per request, for the throughput
+	ops      []item // per op (a request, or a whole session), for the latencies
 	start    time.Time
 	editLat  []float64 // session edit requests, ms
 	requests int64
@@ -121,6 +113,7 @@ func (r loopResult) rate() float64 { return float64(r.requests) / r.elapsed.Seco
 // response against its reference.
 func runOp(d *daemon, o *op, opID int64, tr *tracer, tl *tally, logf func(string, ...any), res *loopResult) {
 	root := tr.begin("op."+o.kind, 0, opID)
+	opStart := time.Since(res.start).Seconds()
 	id, wantID := "", ""
 	for k := range o.steps {
 		s := &o.steps[k]
@@ -131,7 +124,6 @@ func runOp(d *daemon, o *op, opID int64, tr *tracer, tl *tally, logf func(string
 		el := ms(time.Since(t0))
 		sp.end()
 		res.requests++
-		res.lat = append(res.lat, el)
 		end := time.Since(res.start).Seconds()
 		res.items = append(res.items, item{end - el/1e3, end, 1})
 		if o.kind == "session" && k > 0 && k < len(o.steps)-1 {
@@ -155,6 +147,7 @@ func runOp(d *daemon, o *op, opID int64, tr *tracer, tl *tally, logf func(string
 			break // no session to edit
 		}
 	}
+	res.ops = append(res.ops, item{opStart, time.Since(res.start).Seconds(), 1})
 	root.end()
 }
 
@@ -199,8 +192,8 @@ func closedLoop(d *daemon, conns int, dur time.Duration, next func(caller int) (
 	wg.Wait()
 	out := loopResult{elapsed: time.Since(start)}
 	for _, r := range results {
-		out.lat = append(out.lat, r.lat...)
 		out.items = append(out.items, r.items...)
+		out.ops = append(out.ops, r.ops...)
 		out.editLat = append(out.editLat, r.editLat...)
 		out.requests += r.requests
 		out.exhausted = out.exhausted || r.exhausted
@@ -253,24 +246,32 @@ func runServe(o options, sr *serveRun, tl *tally, logf func(string, ...any)) (*r
 
 	res := &result{Metrics: map[string]metric{}}
 	window := time.Duration(o.seconds * float64(time.Second))
+	// loop runs one window; a window that runs out of referenced ops is
+	// a failed check, since its rate and tails would then describe a
+	// partly idle loop.
+	loop := func(tr *tracer) loopResult {
+		lr := closedLoop(d, conns, window, sr.next, tr, tl, logf)
+		if lr.exhausted {
+			tl.attempted.Add(1)
+			tl.fail(logf, "ran out of referenced ops before the %.2fs window ended", window.Seconds())
+		}
+		return lr
+	}
 	var tr *tracer
 	var untraced loopResult
 	if o.trace {
 		window /= 2
-		untraced = closedLoop(d, conns, window, sr.next, nil, tl, logf)
+		untraced = loop(nil)
 		tr = newTracer()
 	}
 	before, err := d.stats()
 	if err != nil {
 		return nil, err
 	}
-	lr := closedLoop(d, conns, window, sr.next, tr, tl, logf)
+	lr := loop(tr)
 	after, err := d.stats()
 	if err != nil {
 		return nil, err
-	}
-	if lr.exhausted {
-		logf("warning: ran out of referenced ops after %.2fs", lr.elapsed.Seconds())
 	}
 	st := delta(before, after)
 	if msg := sr.gate(st); msg != "" {
@@ -288,7 +289,7 @@ func runServe(o options, sr *serveRun, tl *tally, logf func(string, ...any)) (*r
 		res.Metrics["setup_s"] = metric{median(setups), "s"}
 		res.Metrics["ops_per_s"] = metric{rps, "1/s"}
 		res.Metrics["peak_rss_mb"] = metric{rss, "MB"}
-		latencyMetrics(res.Metrics, lr.lat, sr.tailPct, logf)
+		latencyMetrics(res.Metrics, lr.ops, window.Seconds(), sr.tailPct, logf)
 	} else {
 		st.layerMetrics(res.Metrics)
 		res.Metrics["trace.overhead_pct"] = metric{overheadPct(untraced.rate(), lr.rate()), "%"}
@@ -380,11 +381,18 @@ func runServeHot(o options, logf func(string, ...any)) (*result, error) {
 	return runServe(o, sr, tl, logf)
 }
 
-// exactRefBudget is how long serve-exact computes references, as a
-// multiple of the measured window: the in-process reference server has
-// the daemon's compute parallelism, so this covers the window with
-// margin.
-const exactRefBudget = 1.6
+// serve-exact references a fixed count of ops before timing: it times
+// the references of the first exactCalibRounds passes over exactMix
+// (a few seconds, so that a short stall of a shared host does not skew
+// the rate), and at that rate references exactRefMargin windows' worth
+// in all. The daemon's loop runs the same computations on the same
+// cores, plus TCP and its callers; in measured runs it used 44–59% of
+// the references at a margin of 2 and 34–49% at 2.5. A window that
+// still runs out is a failed check.
+const (
+	exactCalibRounds = 40
+	exactRefMargin   = 2.5
+)
 
 // exactBaseNets is how many net shapes of each family serve-exact
 // cycles through.
@@ -405,24 +413,35 @@ func runServeExact(o options, logf func(string, ...any)) (*result, error) {
 	// Warm-up ops come from a fixed seed stream of their own (negative,
 	// unlike the run seeds), so set-up does the same work on every run
 	// and never repeats a measured body.
-	warmOps, err := referencePool(ref.Handler(), func(i int) (op, error) { return bases.exactOp(-1, i) }, len(exactMix), 0, conns, tl, logf)
+	warmOps, err := referencePool(ref.Handler(), func(i int) (op, error) { return bases.exactOp(-1, i) }, 0, len(exactMix), conns, tl, logf)
 	if err != nil {
 		return nil, err
 	}
+	gen := func(i int) (op, error) { return bases.exactOp(o.seed, i) }
+	calib := exactCalibRounds * len(exactMix)
 	t0 := time.Now()
-	budget := time.Duration(exactRefBudget * o.seconds * float64(time.Second))
-	ops, err := referencePool(ref.Handler(), func(i int) (op, error) { return bases.exactOp(o.seed, i) }, math.MaxInt32, budget, conns, tl, logf)
+	ops, err := referencePool(ref.Handler(), gen, 0, calib, conns, tl, logf)
 	if err != nil {
 		return nil, err
 	}
-	logf("serve-exact: %d referenced ops in %.1fs", len(ops), time.Since(t0).Seconds())
+	rate := float64(calib) / time.Since(t0).Seconds()
+	total := max(calib, int(math.Ceil(exactRefMargin*rate*o.seconds)))
+	rest, err := referencePool(ref.Handler(), gen, calib, total, conns, tl, logf)
+	if err != nil {
+		return nil, err
+	}
+	ops = append(ops, rest...)
+	if o.maxRefs > 0 {
+		ops = ops[:min(len(ops), o.maxRefs)]
+	}
+	logf("serve-exact: %d referenced ops in %.1fs (%.4g ops/s on the first %d)", len(ops), time.Since(t0).Seconds(), rate, calib)
 	corrupt(o, ops)
 	checkExactOutputs(ref.Handler(), ops, tl, logf)
 	staticChecks(tl, logf)
 
 	var next atomic.Int64
 	sr := &serveRun{
-		tailPct: 95,
+		tailPct: 90,
 		warm:    func(d *daemon, tl *tally, logf func(string, ...any)) { sendAll(d, warmOps, conns, tl, logf) },
 		next: func(int) (*op, int64, bool) {
 			i := next.Add(1) - 1
@@ -439,7 +458,9 @@ func runServeExact(o options, logf func(string, ...any)) (*result, error) {
 		},
 		probe: probeFromOps(ops),
 	}
-	return runServe(o, sr, tl, logf)
+	res, err := runServe(o, sr, tl, logf)
+	logf("serve-exact: the loop used %d of %d referenced ops", min(int(next.Load()), len(ops)), len(ops))
+	return res, err
 }
 
 // corrupt applies the -corrupt test hook: flip one byte of an op's

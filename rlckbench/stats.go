@@ -102,18 +102,37 @@ func windowRate(items []item, span float64) float64 {
 	return median(per)
 }
 
-// latencyMetrics turns per-operation latencies into the shared
-// end-to-end latency metrics: the median and the fixed tail percentile
-// the workload declares (chosen so that at least ten samples lie beyond
-// it in a normal run).
-func latencyMetrics(m map[string]metric, lat []float64, tailPct float64, logf func(string, ...any)) {
-	n := len(lat)
-	if beyond := float64(n) * (1 - tailPct/100); beyond < 10 {
-		logf("warning: only %.0f samples beyond p%g (n=%d)", beyond, tailPct, n)
+// tailWindows is how many equal slices of the window the tail
+// percentile is taken in: the reported tail is the median of the
+// slices' percentiles, so a burst of outside load in one or two slices
+// does not move it.
+const tailWindows = 5
+
+// latencyMetrics turns per-operation timings into the shared end-to-end
+// latency metrics: the median latency over the window, and the tail,
+// the workload's fixed percentile among the operations that ended in
+// each of tailWindows equal slices of [0, span) seconds, medianed over
+// the slices. The percentile is chosen so that at least ten samples of
+// a slice lie beyond it in a normal run.
+func latencyMetrics(m map[string]metric, items []item, span, tailPct float64, logf func(string, ...any)) {
+	all := make([]float64, len(items))
+	slices := make([][]float64, tailWindows)
+	for i, it := range items {
+		all[i] = 1e3 * (it.end - it.start)
+		k := min(tailWindows-1, int(it.end/span*tailWindows))
+		slices[k] = append(slices[k], all[i])
 	}
-	m["latency_p50_ms"] = metric{median(lat), "ms"}
-	m["latency_tail_ms"] = metric{percentile(lat, tailPct), "ms"}
-	logf("latency n=%d p50=%.4gms p%g=%.4gms", n, m["latency_p50_ms"].Value, tailPct, m["latency_tail_ms"].Value)
+	tails := make([]float64, tailWindows)
+	for k, xs := range slices {
+		if beyond := float64(len(xs)) * (1 - tailPct/100); beyond < 10 {
+			logf("warning: only %.0f samples beyond p%g in tail slice %d (n=%d)", beyond, tailPct, k, len(xs))
+		}
+		tails[k] = percentile(xs, tailPct)
+	}
+	logf("latency n=%d p%g per slice=%.4g ms", len(all), tailPct, tails)
+	m["latency_p50_ms"] = metric{median(all), "ms"}
+	m["latency_tail_ms"] = metric{median(tails), "ms"}
+	logf("latency p50=%.4gms p%g=%.4gms", m["latency_p50_ms"].Value, tailPct, m["latency_tail_ms"].Value)
 }
 
 // peakRSSMB reads a process's peak resident set size (VmHWM) in MB.
