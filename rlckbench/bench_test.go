@@ -165,3 +165,46 @@ func TestRunningOutOfReferencesFails(t *testing.T) {
 		t.Fatalf("running out of referenced ops went unnoticed: correct=%t failed=%d", res.Correct, res.Failed)
 	}
 }
+
+// TestFastSideQuartiles checks that rates are read at the upper
+// quartile of their slices and latencies at the lower quartile, so that
+// slow spells in a few slices leave the figures alone.
+func TestFastSideQuartiles(t *testing.T) {
+	// Slice k of a 10 s window does k+1 units of work, except that the
+	// first three slices are slowed down to a tenth.
+	var items []item
+	for k := 0; k < subWindows; k++ {
+		work := float64(k + 1)
+		if k < 3 {
+			work /= 10
+		}
+		items = append(items, item{float64(k), float64(k + 1), work})
+	}
+	// Sorted, the slice rates are 0.1, 0.2, 0.3, 4, ..., 10, whose
+	// upper quartile lies between 7 and 8 at 7.75.
+	if got, _ := windowRate(items, subWindows); math.Abs(got-7.75) > 1e-12 {
+		t.Errorf("windowRate = %g, want 7.75", got)
+	}
+
+	// Five latency slices of 1 s; slice k's operations all take k+1 ms,
+	// and slice 0 is slowed to 50 ms. The lower quartile of the slice
+	// values (2, 3, 4, 5, 50) is the second smallest, 3 ms.
+	items = items[:0]
+	for k := 0; k < latencyWindows; k++ {
+		d := float64(k+1) / 1e3
+		if k == 0 {
+			d = 0.05
+		}
+		for i := 0; i < 200; i++ {
+			end := float64(k) + 0.5 + float64(i)/1000
+			items = append(items, item{end - d, end, 1})
+		}
+	}
+	m := map[string]metric{}
+	latencyMetrics(m, items, latencyWindows, t.Logf)
+	for _, name := range []string{"latency_p50_ms", "latency_tail_ms"} {
+		if got := m[name].Value; math.Abs(got-3) > 1e-9 {
+			t.Errorf("%s = %g, want 3", name, got)
+		}
+	}
+}

@@ -3,14 +3,15 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -21,9 +22,11 @@ import (
 // daemon is one running rlckitd process, started with its default flags
 // on a loopback port the kernel picks.
 type daemon struct {
-	cmd    *exec.Cmd
-	base   string
-	client *http.Client
+	cmd  *exec.Cmd
+	addr string
+	// pool holds the keep-alive connections, at most as many as the
+	// daemon was started for; a nil slot is dialled on first use.
+	pool   chan *conn
 	exited chan struct{} // closed when the process has been reaped
 	// stderrDone is closed when the stderr drain has ended.
 	stderrDone chan struct{}
@@ -77,20 +80,14 @@ func startDaemon(bin string, conns int) (*daemon, error) {
 		d.stop()
 		return nil, errors.New("rlckitd did not report a listen address within 30s")
 	}
-	d.base = "http://" + addr
-	d.client = &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        conns,
-		MaxIdleConnsPerHost: conns,
-		MaxConnsPerHost:     conns,
-		DisableCompression:  true,
-	}}
-	resp, err := d.client.Get(d.base + "/healthz")
-	if err == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("healthz answered %s", resp.Status)
-		}
+	d.addr = addr
+	d.pool = make(chan *conn, conns)
+	for range conns {
+		d.pool <- nil
+	}
+	status, _, err := d.do("GET", "/healthz", nil)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("healthz answered %d", status)
 	}
 	if err != nil {
 		d.stop()
@@ -102,8 +99,10 @@ func startDaemon(bin string, conns int) (*daemon, error) {
 // stop terminates the daemon gracefully (SIGTERM, then SIGKILL after
 // 10s) and waits until it has been reaped.
 func (d *daemon) stop() {
-	if d.client != nil {
-		d.client.CloseIdleConnections()
+	for d.pool != nil && len(d.pool) > 0 {
+		if c := <-d.pool; c != nil {
+			c.nc.Close()
+		}
 	}
 	_ = d.cmd.Process.Signal(syscall.SIGTERM)
 	select {
@@ -114,26 +113,67 @@ func (d *daemon) stop() {
 	}
 }
 
-// do sends one request and returns status and body.
-func (d *daemon) do(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
-	var rd io.Reader
+// conn is one keep-alive HTTP/1.1 connection to the daemon. A request
+// is written in one call and its reply read on the calling goroutine,
+// so the load generator adds no goroutine hand-offs of its own to a
+// round trip, and little CPU next to the daemon's.
+type conn struct {
+	nc  net.Conn
+	br  *bufio.Reader
+	req []byte
+}
+
+// do sends one request on a pooled connection, waiting for a free one
+// if all are busy, and returns status and body.
+func (d *daemon) do(method, path string, body []byte) (int, []byte, error) {
+	c := <-d.pool
+	if c == nil {
+		nc, err := net.Dial("tcp", d.addr)
+		if err != nil {
+			d.pool <- nil
+			return 0, nil, err
+		}
+		c = &conn{nc: nc, br: bufio.NewReaderSize(nc, 64<<10)}
+	}
+	status, b, keep, err := c.roundTrip(d.addr, method, path, body)
+	if err != nil || !keep {
+		c.nc.Close()
+		c = nil
+	}
+	d.pool <- c
+	return status, b, err
+}
+
+// roundTrip writes one request and reads its response; keep reports
+// whether the connection can carry another request.
+func (c *conn) roundTrip(host, method, path string, body []byte) (status int, b []byte, keep bool, err error) {
+	r := append(c.req[:0], method...)
+	r = append(r, ' ')
+	r = append(r, path...)
+	r = append(r, " HTTP/1.1\r\nHost: "...)
+	r = append(r, host...)
 	if body != nil {
-		rd = bytes.NewReader(body)
+		r = append(r, "\r\nContent-Type: application/json\r\nContent-Length: "...)
+		r = strconv.AppendInt(r, int64(len(body)), 10)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, d.base+path, rd)
+	r = append(r, "\r\n\r\n"...)
+	r = append(r, body...)
+	c.req = r
+	if _, err := c.nc.Write(r); err != nil {
+		return 0, nil, false, err
+	}
+	resp, err := http.ReadResponse(c.br, nil)
 	if err != nil {
-		return 0, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := d.client.Do(req)
-	if err != nil {
-		return 0, nil, err
+		return 0, nil, false, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, b, err
+	if resp.ContentLength >= 0 {
+		b = make([]byte, resp.ContentLength)
+		_, err = io.ReadFull(resp.Body, b)
+	} else {
+		b, err = io.ReadAll(resp.Body)
+	}
+	return resp.StatusCode, b, !resp.Close, err
 }
 
 // stats reads the daemon's serving counters from /debug/vars.
@@ -141,7 +181,7 @@ func (d *daemon) stats() (serve.Stats, error) {
 	var v struct {
 		Rlckitd serve.Stats `json:"rlckitd"`
 	}
-	status, body, err := d.do(context.Background(), "GET", "/debug/vars", nil)
+	status, body, err := d.do("GET", "/debug/vars", nil)
 	if err != nil {
 		return v.Rlckitd, err
 	}

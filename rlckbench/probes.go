@@ -412,7 +412,7 @@ func probeServe(bodies []step, d *daemon, tr *tracer, tl *tally, logf func(strin
 	want := make([][]byte, len(bodies))
 	for i, b := range bodies {
 		_, want[i] = inProcess(h, b.method, b.path, b.body)
-		if _, _, err := d.do(context.Background(), b.method, b.path, b.body); err != nil {
+		if _, _, err := d.do(b.method, b.path, b.body); err != nil {
 			return err
 		}
 	}
@@ -449,7 +449,7 @@ func probeServe(bodies []step, d *daemon, tr *tracer, tl *tally, logf func(strin
 		b := bodies[i%len(bodies)]
 		sp := tr.begin("rlckitd.request", 0, int64(i))
 		tl.attempted.Add(1)
-		status, body, err := d.do(context.Background(), b.method, b.path, b.body)
+		status, body, err := d.do(b.method, b.path, b.body)
 		tcp[i] = float64(sp.end()) / 1e3
 		if err != nil || status != http.StatusOK || !bytes.Equal(body, want[i%len(bodies)]) {
 			tl.fail(logf, "TCP probe %s: status %d err %v", b.path, status, err)

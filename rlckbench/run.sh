@@ -3,7 +3,7 @@
 # in the current directory, then runs the benchmark with the given
 # arguments:
 #
-#   bash rlckbench/run.sh --workload serve-hot --seed 1 --seconds 20 --trace 0
+#   bash rlckbench/run.sh --workload serve-hot --seed 1 --seconds 16 --trace 0
 #
 # Run it from the repository root. Build outputs (and the Go build
 # cache) go to .bench_build/ under that root.
